@@ -150,8 +150,13 @@ pub struct AnalysisOptions {
     /// shared state cache and per-worker solver contexts. The verdict is
     /// identical for every value (see [`crate::parallel`]); *scheduling*
     /// counters (`sequences_skipped`, `state_cache_hits`, solver work)
-    /// may vary run-to-run when `threads > 1`. Deliberately **excluded**
-    /// from the fleet verdict-cache key: it cannot change verdicts.
+    /// may vary run-to-run when `threads > 1`. So may
+    /// `sequences_explored` and `distinct_outputs` on a non-deterministic
+    /// verdict, where the search stops at the first divergence; on a
+    /// deterministic verdict they are exact. The fleet engine fills this
+    /// in from its job count (`rehearsal_fleet::explorer_threads`).
+    /// Deliberately **excluded** from the fleet verdict-cache key: it
+    /// cannot change verdicts.
     pub threads: usize,
 }
 
@@ -905,8 +910,8 @@ pub fn check_determinism_with_oracle(
     };
 
     // 3+4. Encode, explore (bitset POR + state cache + early exit), and
-    //    decide. `--threads 1` runs the exact historical sequential loop
-    //    (identical traversal order and statistics); `--threads N` splits
+    //    decide. One thread runs the exact historical sequential loop
+    //    (identical traversal order and statistics); `N` threads split
     //    the interleaving tree into prefix subtrees explored by
     //    work-stealing workers (see [`crate::parallel`]) with a shared
     //    state cache and per-worker solver contexts. Both paths reduce a

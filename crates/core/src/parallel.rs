@@ -1,4 +1,4 @@
-//! Multi-core permutation exploration (the `--threads N` engine).
+//! Multi-core permutation exploration (`AnalysisOptions::threads > 1`).
 //!
 //! The sequential explorer ([`crate::determinism`]) walks the POR-reduced
 //! interleaving tree depth-first with one encoder and one incremental
@@ -17,17 +17,13 @@
 //! 3. **Per-worker encoders.** [`Ctx`](rehearsal_solver::Ctx) is
 //!    single-threaded by design, so each worker owns an encoder plus a
 //!    persistent incremental solver. Workers exchange knowledge through
-//!    three shared structures, all built on
+//!    two shared structures, both built on
 //!    [`rehearsal_sync::ShardedMap`]:
 //!    * a **state cache** keyed by `(remaining, state digest)` — the
 //!      128-bit structural digest is stable across same-domain encoders,
 //!      so a subtree completed by one worker is skipped by all;
 //!    * an **output registry** keyed by state digest, holding one
-//!      representative sequence per distinct symbolic output;
-//!    * a bounded **learnt-clause pool**: short clauses proved over the
-//!      shared variable prefix (everything allocated by
-//!      `initial_state`) are published after each SAT call and imported
-//!      by siblings before theirs.
+//!      representative sequence per distinct symbolic output.
 //! 4. **Baseline comparison.** Every worker evaluates one fixed
 //!    topological order as its *baseline* output. A newly discovered
 //!    distinct output is checked against the baseline in the finding
@@ -35,12 +31,15 @@
 //!    equal to some explored output, so "some output differs from the
 //!    baseline on some input" is equivalent to the sequential "some
 //!    output differs from the first output" — the verdict transfers.
-//! 5. **Deterministic accounting.** `sequences_explored` and
-//!    `distinct_outputs` are exact and thread-count-invariant (each leaf
-//!    is counted exactly once, by construction of the disjoint
-//!    subtrees). Scheduling-dependent counters (`sequences_skipped`,
+//! 5. **Deterministic accounting.** On a deterministic verdict (or with
+//!    early exit off), `sequences_explored` and `distinct_outputs` are
+//!    exact and thread-count-invariant: each leaf is counted exactly
+//!    once, by construction of the disjoint subtrees. On a
+//!    non-deterministic verdict the search stops at the first divergence,
+//!    so how far each worker got — and with it both counts — depends on
+//!    scheduling. Scheduling-dependent counters (`sequences_skipped`,
 //!    `state_cache_hits`, per-solver work) are summed honestly but vary
-//!    run-to-run; `--threads 1` bypasses this module entirely and
+//!    run-to-run; one thread bypasses this module entirely and
 //!    reproduces the sequential statistics bit-for-bit.
 //!
 //! A divergence found by any worker is decoded to a concrete initial
@@ -56,7 +55,7 @@ use crate::determinism::{
 use crate::domain::Domain;
 use crate::encoder::{Encoder, SymState};
 use rehearsal_fs::{FileSystem, FsPath};
-use rehearsal_solver::{ClausePool, CtxStats, GroundingStats};
+use rehearsal_solver::{CtxStats, GroundingStats};
 use rehearsal_sync::ShardedMap;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -67,10 +66,6 @@ use std::time::Instant;
 /// thread count) so the work decomposition — and with it every exact
 /// counter — is identical no matter how many workers run it.
 const FRONTIER_TARGET: usize = 128;
-
-/// Maximum literal count for clauses exchanged through the pool; longer
-/// learnt clauses rarely pay for their import cost.
-const SHARED_CLAUSE_MAX_LEN: usize = 8;
 
 /// Divergence evidence: a concrete initial filesystem plus two orders
 /// (pruned-graph indices) that provably produce different outcomes.
@@ -92,7 +87,6 @@ pub(crate) struct ParallelOutcome {
     pub(crate) solver_decisions: u64,
     pub(crate) solver_propagations: u64,
     pub(crate) steals: u64,
-    pub(crate) clauses_shared: u64,
 }
 
 impl ParallelOutcome {
@@ -115,7 +109,6 @@ impl ParallelOutcome {
         rehearsal_trace::counter_add("sat.grounded_clauses", self.grounding.grounded_clauses);
         rehearsal_trace::counter_add("sat.grounding_reused", self.grounding.reused_nodes);
         rehearsal_trace::counter_add("explorer.steals", self.steals);
-        rehearsal_trace::counter_add("explorer.clauses_shared", self.clauses_shared);
     }
 }
 
@@ -144,8 +137,6 @@ struct SharedExplore {
     abort: Arc<AtomicBool>,
     /// First divergence found, with replayable evidence.
     divergence: Mutex<Option<Divergence>>,
-    /// Learnt clauses over the shared variable prefix.
-    pool: ClausePool,
 }
 
 impl SharedExplore {
@@ -158,7 +149,6 @@ impl SharedExplore {
             explored_global: AtomicU64::new(0),
             abort: Arc::new(AtomicBool::new(false)),
             divergence: Mutex::new(None),
-            pool: ClausePool::default(),
         }
     }
 
@@ -257,8 +247,8 @@ struct WorkerStats {
     steals: u64,
 }
 
-/// One exploration worker: its own encoder, incremental solver, baseline
-/// output, and clause-pool cursor. Built lazily, on the worker's own
+/// One exploration worker: its own encoder, incremental solver and
+/// baseline output. Built lazily, on the worker's own
 /// thread (the context is single-threaded), when the first item arrives.
 struct Worker<'a> {
     graph: &'a FsGraph,
@@ -270,8 +260,6 @@ struct Worker<'a> {
     initial: SymState,
     baseline_state: SymState,
     baseline_seq: &'a [usize],
-    watermark: u32,
-    pool_cursor: usize,
     explored: u64,
     skipped: u64,
     cache_hits: u64,
@@ -294,11 +282,6 @@ impl<'a> Worker<'a> {
             enc.mark_read_only(p);
         }
         let initial = enc.initial_state();
-        // Everything allocated so far — the finite-domain variables and
-        // their one-hot bits — is identical across workers (deterministic
-        // domain order), so clauses over variables below this watermark
-        // transfer between their solvers.
-        let watermark = enc.ctx.watermark();
         let mut baseline_state = initial.clone();
         for &e in baseline_seq {
             baseline_state = enc.eval_expr(graph.exprs[e], &baseline_state);
@@ -315,8 +298,6 @@ impl<'a> Worker<'a> {
             initial,
             baseline_state,
             baseline_seq,
-            watermark,
-            pool_cursor: 0,
             explored: 0,
             skipped: 0,
             cache_hits: 0,
@@ -376,22 +357,10 @@ impl<'a> Worker<'a> {
         if self.enc.ctx.is_false(d) {
             return Ok(false);
         }
-        // Clause exchange around the SAT call: import what siblings
-        // proved over the shared prefix, solve, publish what we learnt.
-        let (fresh_clauses, cursor) = self.shared.pool.fetch_since(self.pool_cursor);
-        self.pool_cursor = cursor;
-        if !fresh_clauses.is_empty() {
-            self.enc.ctx.import_clauses(&fresh_clauses, self.watermark);
-        }
         let solved =
             self.enc
                 .ctx
                 .solve_assuming(d, self.deadline, Some(Arc::clone(&self.shared.abort)));
-        self.shared.pool.publish(
-            self.enc
-                .ctx
-                .export_learnt_clauses(SHARED_CLAUSE_MAX_LEN, self.watermark),
-        );
         match solved {
             Ok(None) => Ok(false),
             Ok(Some(model)) => {
@@ -640,7 +609,6 @@ pub(crate) fn explore_parallel(
         solver_decisions: 0,
         solver_propagations: 0,
         steals: 0,
-        clauses_shared: shared.pool.len() as u64,
     };
     for w in &workers {
         ctx.merge(&w.ctx);

@@ -12,9 +12,11 @@
 //!   later process can reason about resources an edit *removed*);
 //! - the **per-pair commutativity verdicts** keyed by digest pair, which
 //!   seed a `CommuteOracle` for the clean remainder of an edited graph;
-//! - the **pruning decisions** (read-only path residues), revalidated —
-//!   not trusted — on replay, since they are linear-time to recompute;
 //! - the recorded verdict, detail, and source-anchored diagnostics.
+//!
+//! Pruning decisions are not stored: replay recomputes them. Lines
+//! written when entries still carried a `pruned` key load unchanged (the
+//! key is ignored).
 //!
 //! The on-disk format is JSONL like the verdict cache: one entry per
 //! line, schema-tagged, append-friendly; corrupt or stale-schema lines
@@ -73,8 +75,6 @@ pub struct BaselineEntry {
     /// Per-pair commutativity verdicts, keyed by (digest, digest) with
     /// the smaller digest first.
     pub pairs: Vec<(u64, u64, bool)>,
-    /// Paths the pruning pass decided were read-only residues.
-    pub pruned: Vec<String>,
     /// The recorded verdict.
     pub verdict: Verdict,
     /// Human-readable verdict detail.
@@ -271,7 +271,6 @@ fn encode_entry(entry: &BaselineEntry) -> Json {
                     .collect(),
             ),
         ),
-        ("pruned", str_arr(&entry.pruned)),
         ("verdict", Json::str(entry.verdict.label())),
         ("detail", Json::str(&entry.detail)),
         (
@@ -332,7 +331,6 @@ fn decode_entry(json: &Json) -> Option<BaselineEntry> {
         resources,
         edges,
         pairs,
-        pruned: decode_str_arr(json.get("pruned")?)?,
         verdict: Verdict::from_label(json.get("verdict")?.as_str()?)?,
         detail: json.get("detail")?.as_str()?.to_string(),
         diagnostics: json
@@ -371,7 +369,6 @@ mod tests {
             }],
             edges: vec![(0, 0)],
             pairs: vec![(0x11, 0x22, true)],
-            pruned: vec!["/etc/x".to_string()],
             verdict: Verdict::Deterministic,
             detail: String::new(),
             diagnostics: vec![Diagnostic::error("R3001", "race").with_primary(
@@ -395,14 +392,29 @@ mod tests {
         assert!(store.is_empty());
         store.put(entry("site.pp", 0xfeed));
         store.save().unwrap();
+        // A line written before entries stopped recording pruned paths
+        // still carries a `pruned` key; it must load warm, key ignored.
+        let old_line = encode_entry(&entry("old.pp", 0xbeef)).render().replacen(
+            '{',
+            "{\"pruned\":[\"/etc/x\"],",
+            1,
+        );
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str(&old_line);
+        text.push('\n');
+        std::fs::write(&path, text).unwrap();
 
         let reloaded = BaselineStore::open(&path).unwrap();
-        assert_eq!(reloaded.len(), 1);
+        assert_eq!(reloaded.len(), 2);
         let hit = reloaded.get("site.pp", 0xabcd).unwrap();
         assert_eq!(hit, &entry("site.pp", 0xfeed));
         assert_eq!(
             entry_fingerprint(hit),
             entry_fingerprint(&entry("site.pp", 0xfeed))
+        );
+        assert_eq!(
+            reloaded.get("old.pp", 0xabcd),
+            Some(&entry("old.pp", 0xbeef))
         );
     }
 

@@ -47,13 +47,10 @@ pub struct FleetJob {
 /// Configuration for a fleet run.
 #[derive(Debug, Clone, Default)]
 pub struct FleetOptions {
-    /// Worker threads; `0` means one per available CPU.
+    /// Worker threads, i.e. analyses running at once; `0` means one per
+    /// available CPU, capped at the number of manifests. Each analysis
+    /// gets [`explorer_threads`]`(jobs)` explorer threads.
     pub jobs: usize,
-    /// Explorer threads *per manifest job*; `0` means "divide what's
-    /// left": the run gives each job `max(1, cores / jobs)` explorer
-    /// threads (see [`resolve_core_split`]), so `--jobs`/`--threads`
-    /// never oversubscribe the machine between them.
-    pub threads: usize,
     /// Analysis options applied to every job. `analysis.timeout` acts as
     /// the per-job deadline across both pipeline stages.
     pub analysis: AnalysisOptions,
@@ -72,13 +69,6 @@ impl FleetOptions {
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> FleetOptions {
         self.jobs = jobs;
-        self
-    }
-
-    /// Sets the per-job explorer thread count (`0` = auto-split).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> FleetOptions {
-        self.threads = threads;
         self
     }
 
@@ -116,35 +106,13 @@ impl FleetOptions {
     }
 }
 
-/// Divides `cores` between manifest-level jobs and per-manifest explorer
-/// threads so the two never oversubscribe the machine multiplicatively.
-/// `0` means "auto" for either request:
-///
-/// * both auto — one job per manifest up to the core count, remaining
-///   cores become explorer threads (`manifests ≥ cores` therefore
-///   reproduces the historical `jobs = cores, threads = 1` default);
-/// * `--jobs J` alone — the leftover `cores / J` become threads;
-/// * `--threads T` alone — the leftover `cores / T` become jobs;
-/// * both given — honored verbatim unless `J × T > cores`, in which case
-///   the thread request is scaled down to `max(1, cores / J)` (jobs win:
-///   cross-manifest parallelism has no shared state to contend on).
-pub fn resolve_core_split(
-    cores: usize,
-    jobs_req: usize,
-    threads_req: usize,
-    manifests: usize,
-) -> (usize, usize) {
-    let cores = cores.max(1);
-    match (jobs_req, threads_req) {
-        (0, 0) => {
-            let jobs = cores.min(manifests.max(1));
-            (jobs, (cores / jobs).max(1))
-        }
-        (j, 0) => (j, (cores / j).max(1)),
-        (0, t) => ((cores / t).max(1), t),
-        (j, t) if j.saturating_mul(t) > cores => (j, (cores / j).max(1)),
-        (j, t) => (j, t),
-    }
+/// Explorer threads for one analysis when `concurrent` analyses run at
+/// once: the machine's cores divided between them, at least one. The
+/// thread count never changes a verdict, so it stays out of the cache
+/// fingerprint.
+pub fn explorer_threads(concurrent: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    (cores / concurrent.max(1)).max(1)
 }
 
 /// The batch engine: options plus a shared [`StateDir`] holding the
@@ -340,7 +308,6 @@ impl FleetEngine {
                 if self.state.has_baseline() && self.state.baseline_get(&job.name, fp).is_none() {
                     self.state.baseline_put(baseline_entry(
                         &graph,
-                        &analysis,
                         job.name.clone(),
                         job.platform,
                         fp,
@@ -421,16 +388,13 @@ impl FleetEngine {
 
         // Split the machine between manifest jobs and per-manifest
         // explorer threads. `threads` rides into every job's
-        // `AnalysisOptions` — it can never change a verdict, so it stays
-        // out of the cache fingerprint (set after lowering on purpose).
-        let (workers, threads) = resolve_core_split(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            self.options.jobs,
-            self.options.threads,
-            pending.len(),
-        );
+        // `AnalysisOptions` after lowering, so it stays out of the cache
+        // fingerprint.
+        let workers = match self.options.jobs {
+            0 => self.options.effective_workers().min(pending.len().max(1)),
+            jobs => jobs,
+        };
+        let threads = explorer_threads(workers);
         let analysis = {
             let mut a = analysis;
             a.threads = threads;
@@ -481,7 +445,6 @@ impl FleetEngine {
                 .map(|p| {
                     baseline_entry(
                         &graph,
-                        &analysis,
                         String::new(), // filled in per fan-out slot
                         platform,
                         options_fp,
@@ -689,12 +652,12 @@ fn verdict_of(row: &JobResult) -> CachedVerdict {
 }
 
 /// Builds the baseline entry for an analyzed graph: per-resource
-/// footprint summaries, edges, pair verdicts, and (when pruning is on)
-/// the pruning decisions — everything a later differential run consults.
+/// footprint summaries, edges and pair verdicts — everything a later
+/// differential run consults. Pruning is not recorded: replay recomputes
+/// it.
 #[allow(clippy::too_many_arguments)]
 fn baseline_entry(
     graph: &FsGraph,
-    analysis: &AnalysisOptions,
     manifest: String,
     platform: Platform,
     options_fp: u64,
@@ -722,17 +685,6 @@ fn baseline_entry(
             }
         })
         .collect();
-    // Pruning decisions are recorded for inspection but *revalidated*
-    // (recomputed — it is linear-time) on replay, never trusted.
-    let pruned = if analysis.pruning {
-        rehearsal_core::prune::prune_graph(graph)
-            .1
-            .iter()
-            .map(|p| p.to_string())
-            .collect()
-    } else {
-        Vec::new()
-    };
     BaselineEntry {
         manifest,
         platform,
@@ -741,7 +693,6 @@ fn baseline_entry(
         resources,
         edges: graph.edges.iter().copied().collect(),
         pairs,
-        pruned,
         verdict: verdict.clone(),
         detail: detail.to_string(),
         diagnostics: diagnostics.to_vec(),
@@ -968,23 +919,27 @@ mod tests {
 
     #[test]
     fn core_split_covers_every_request_shape() {
-        // Both auto: one job per manifest up to the core count, leftover
-        // cores become explorer threads.
-        assert_eq!(resolve_core_split(8, 0, 0, 2), (2, 4));
-        // Historical default: more manifests than cores → jobs = cores,
-        // threads = 1.
-        assert_eq!(resolve_core_split(4, 0, 0, 100), (4, 1));
-        // --jobs alone: leftover cores divided into threads.
-        assert_eq!(resolve_core_split(8, 2, 0, 100), (2, 4));
-        // --threads alone: leftover cores divided into jobs.
-        assert_eq!(resolve_core_split(8, 0, 4, 100), (2, 4));
-        // Both given and they fit: honored verbatim.
-        assert_eq!(resolve_core_split(8, 2, 3, 100), (2, 3));
-        // Oversubscribed: jobs win, threads scale down.
-        assert_eq!(resolve_core_split(4, 4, 4, 100), (4, 1));
-        // Degenerate single core never yields zero of either.
-        assert_eq!(resolve_core_split(1, 0, 0, 3), (1, 1));
-        assert_eq!(resolve_core_split(1, 0, 8, 3), (1, 8));
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        // One analysis at a time gets every core; `0` counts as one.
+        assert_eq!(explorer_threads(1), cores);
+        assert_eq!(explorer_threads(0), cores);
+        // One analysis per core (or more) leaves one thread each, never
+        // zero.
+        assert_eq!(explorer_threads(cores), 1);
+        assert_eq!(explorer_threads(cores * 4 + 1), 1);
+        // A fleet run over more manifests than cores resolves to
+        // `cores` jobs × 1 thread; one manifest gets every core.
+        // (Distinct contents: identical graphs share one analysis.)
+        let many: Vec<FleetJob> = (0..cores + 1)
+            .map(|i| {
+                let source = format!("file {{ '/etc/motd': content => 'hi {i}' }}");
+                job(&format!("m{i}.pp"), &source)
+            })
+            .collect();
+        let report = FleetEngine::new(FleetOptions::default()).run(many);
+        assert_eq!((report.jobs, report.threads), (cores, 1));
+        let report = FleetEngine::new(FleetOptions::default()).run(vec![job("one.pp", "")]);
+        assert_eq!((report.jobs, report.threads), (1, cores));
     }
 
     #[test]

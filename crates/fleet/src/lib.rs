@@ -58,7 +58,7 @@ pub use cache::{
     CACHE_SCHEMA_VERSION,
 };
 pub use discover::{discover_manifests, read_manifest_list};
-pub use engine::{verify_directory, FleetEngine, FleetJob, FleetOptions};
+pub use engine::{explorer_threads, verify_directory, FleetEngine, FleetJob, FleetOptions};
 pub use json::{diagnostic_from_json, diagnostic_json, parse as parse_json, Json, JsonError};
 pub use report::{
     check_document, check_document_from_row, metrics_json, AnalysisCounters, FleetCounts,

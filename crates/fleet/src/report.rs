@@ -204,8 +204,8 @@ pub struct FleetReport {
     pub wall_millis: u64,
     /// Worker threads used.
     pub jobs: usize,
-    /// Explorer threads each job's analysis ran with (the resolved
-    /// `--jobs`/`--threads` core split).
+    /// Explorer threads each job's analysis ran with
+    /// ([`crate::explorer_threads`] of the job count).
     pub threads: usize,
     /// Successful work steals between workers during the run.
     pub steals: u64,

@@ -253,7 +253,6 @@ mod tests {
             resources: Vec::new(),
             edges: Vec::new(),
             pairs: Vec::new(),
-            pruned: Vec::new(),
             verdict: Verdict::Deterministic,
             detail: String::new(),
             diagnostics: Vec::new(),

@@ -304,11 +304,7 @@ impl Service {
         if let Some(secs) = doc.get("timeout_s").and_then(Json::as_u64) {
             analysis.timeout = Some(Duration::from_secs(secs));
         }
-        let threads = doc
-            .get("threads")
-            .and_then(Json::as_u64)
-            .map_or(1, |n| n as usize);
-        let outcome = self.check(&manifest, source.to_string(), platform, analysis, threads);
+        let outcome = self.check(&manifest, source.to_string(), platform, analysis);
         Response::json(200, outcome.doc.render_pretty())
     }
 
@@ -324,7 +320,6 @@ impl Service {
         source: String,
         platform: Platform,
         analysis: AnalysisOptions,
-        threads: usize,
     ) -> CheckOutcome {
         let started = Instant::now();
         let fp = options_fingerprint(platform, &analysis);
@@ -354,9 +349,10 @@ impl Service {
             .then(|| self.pins.lock().unwrap().get(manifest).cloned())
             .flatten();
 
+        // Every request worker may be running one of these single-job
+        // engines at once, so the worker count sizes the explorer.
         let mut engine = FleetEngine::new(FleetOptions {
-            jobs: 1,
-            threads,
+            jobs: self.options.effective_workers(),
             analysis: analysis.clone(),
             cancel: Some(self.drain.child()),
             lint: false,
@@ -456,7 +452,6 @@ impl Service {
             source,
             self.options.platform,
             self.options.analysis.clone(),
-            1,
         );
         self.record(
             "watch",

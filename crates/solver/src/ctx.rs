@@ -791,7 +791,14 @@ impl Ctx {
                 return Ok(None);
             }
         }
-        match solver.solve() {
+        let result = solver.solve();
+        // The one-shot solver is dropped here, so its search counters are
+        // published now; `solver_stats` covers only the persistent one.
+        let stats = solver.stats();
+        rehearsal_trace::counter_add("sat.conflicts", stats.conflicts);
+        rehearsal_trace::counter_add("sat.decisions", stats.decisions);
+        rehearsal_trace::counter_add("sat.propagations", stats.propagations);
+        match result {
             SatResult::Sat(m) => Ok(Some(ModelView { model: m })),
             SatResult::Unsat => Ok(None),
             SatResult::Unknown => Err(SolveTimeout),
@@ -992,48 +999,6 @@ impl Ctx {
             SatResult::Unsat => Ok(None),
             SatResult::Unknown => Err(SolveTimeout),
         }
-    }
-
-    /// The current boolean-variable watermark: the number of boolean
-    /// variables allocated so far. Two contexts that executed the same
-    /// deterministic sequence of allocations (e.g. parallel explorer
-    /// workers encoding the same domain) agree on every `BVar` below
-    /// their common watermark, which is what makes learnt-clause sharing
-    /// ([`Ctx::export_learnt_clauses`]/[`Ctx::import_clauses`]) sound.
-    pub fn watermark(&self) -> u32 {
-        self.n_bool_vars
-    }
-
-    /// Short learnt clauses of the persistent solver mentioning only
-    /// variables below `var_bound` (see [`Solver::export_learnts`]).
-    pub fn export_learnt_clauses(&self, max_len: usize, var_bound: u32) -> Vec<Vec<Lit>> {
-        self.inc.solver.export_learnts(max_len, var_bound as usize)
-    }
-
-    /// Adds clauses proved by a sibling context over the shared variable
-    /// prefix to the persistent solver; returns how many were accepted.
-    ///
-    /// Safety gates: the side constraints are grounded first (so every
-    /// imported variable's one-hot constraints are already asserted
-    /// here), and clauses mentioning any variable at or above `var_bound`
-    /// — or above this context's own watermark — are rejected. Callers
-    /// must only share clauses between contexts whose allocation history
-    /// below `var_bound` is identical.
-    pub fn import_clauses(&mut self, clauses: &[Vec<Lit>], var_bound: u32) -> usize {
-        let bound = var_bound.min(self.n_bool_vars) as usize;
-        self.ground_side_constraints();
-        self.inc.solver.reserve_vars(self.n_bool_vars as usize);
-        let mut accepted = 0;
-        for c in clauses {
-            if c.is_empty() || c.iter().any(|l| l.var().index() >= bound) {
-                continue;
-            }
-            accepted += 1;
-            if !self.inc.solver.add_clause(c.iter().copied()) {
-                self.inc.unsat = true;
-            }
-        }
-        accepted
     }
 
     /// A 128-bit structural digest of a formula, stable across contexts
@@ -1729,43 +1694,5 @@ mod tests {
             ctx.term_digest(w),
             "distinct fd vars digest distinctly even with equal domains"
         );
-    }
-
-    #[test]
-    fn learnt_clause_export_respects_bounds() {
-        let mut ctx = Ctx::new();
-        let root = build_sample(&mut ctx);
-        let wm = ctx.watermark();
-        assert!(ctx.solve_assuming(root, None, None).unwrap().is_some());
-        for c in ctx.export_learnt_clauses(2, wm) {
-            assert!(!c.is_empty() && c.len() <= 2);
-            assert!(c.iter().all(|l| (l.var().index() as u32) < wm));
-        }
-    }
-
-    #[test]
-    fn import_clauses_preserves_verdicts() {
-        // Worker A proves clauses over the shared prefix; worker B imports
-        // them. Both must still agree with a fresh context on every query.
-        let mut a = Ctx::new();
-        let mut b = Ctx::new();
-        let ra = build_sample(&mut a);
-        let rb = build_sample(&mut b);
-        let wm = a.watermark();
-        assert_eq!(wm, b.watermark());
-        assert!(a.solve_assuming(ra, None, None).unwrap().is_some());
-        let exported = a.export_learnt_clauses(8, wm);
-        let accepted = b.import_clauses(&exported, wm);
-        assert_eq!(accepted, exported.len());
-        // SAT query still SAT after the import.
-        assert!(b.solve_assuming(rb, None, None).unwrap().is_some());
-        // An UNSAT query stays UNSAT: assume the negation of a background
-        // truth.
-        let nrb = b.not(rb);
-        let and_rb = b.and2(rb, nrb);
-        assert!(b.solve_assuming(and_rb, None, None).unwrap().is_none());
-        // Clauses over unknown variables are rejected, not asserted.
-        let bogus = vec![vec![Lit::positive(Var::from_index(10_000))]];
-        assert_eq!(b.import_clauses(&bogus, wm), 0);
     }
 }

@@ -369,31 +369,6 @@ impl Solver {
         self.stats
     }
 
-    /// Copies out the short learnt clauses mentioning only variables below
-    /// `var_bound`, for sharing with sibling solvers working on the same
-    /// background theory.
-    ///
-    /// Every learnt clause is implied by the solver's clause database
-    /// alone (assumption literals are never resolved away — they appear
-    /// in the learnt clause itself), so a clause that survives the
-    /// `var_bound` filter is implied by the permanent clauses restricted
-    /// to the shared variable prefix and can be added to any solver whose
-    /// database subsumes that prefix. `max_len` keeps the export to the
-    /// high-value short clauses.
-    pub fn export_learnts(&self, max_len: usize, var_bound: usize) -> Vec<Vec<Lit>> {
-        self.clauses
-            .iter()
-            .filter(|c| {
-                c.learnt
-                    && !c.deleted
-                    && !c.lits.is_empty()
-                    && c.lits.len() <= max_len
-                    && c.lits.iter().all(|l| l.var().index() < var_bound)
-            })
-            .map(|c| c.lits.clone())
-            .collect()
-    }
-
     fn value_lit(&self, l: Lit) -> LBool {
         let v = self.assigns[l.var().index()];
         if l.is_positive() {

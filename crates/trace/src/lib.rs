@@ -5,9 +5,9 @@
 //! is instrumented against this crate:
 //!
 //! * [`Session`] — a collection scope for one profiled activity (a `check`
-//!   run, one fleet job, a bench sample). Sessions install either
-//!   process-globally or per-thread; the fleet engine gives each job its
-//!   own thread-scoped session so concurrent jobs never mix.
+//!   run, one fleet job, a bench sample). Sessions install per thread;
+//!   the fleet engine gives each job its own session so concurrent jobs
+//!   never mix.
 //! * [`span`] — phase-scoped, nested wall-clock timing
 //!   (`parse → eval → lower → eliminate → prune → explore → solve`).
 //!   Guards record on drop; nesting comes from a thread-local stack.

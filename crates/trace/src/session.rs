@@ -5,19 +5,16 @@
 //! check every instrumentation site performs first — is one relaxed atomic
 //! load when no session exists anywhere in the process.
 //!
-//! Installation is two-tier:
-//!
-//! * [`Session::install`] puts the session in a thread-local slot. The
-//!   fleet engine uses this to give each job its own session on whichever
-//!   worker thread runs it, so concurrent jobs never mix records.
-//! * [`Session::install_global`] additionally publishes the session
-//!   process-wide, so helper threads spawned *during* the session (none
-//!   today, but the roadmap has multi-core exploration) still resolve it.
-//!   The thread-local slot always wins over the global one.
+//! [`Session::install`] puts the session in a thread-local slot. The
+//! fleet engine uses this to give each job its own session on whichever
+//! worker thread runs it, so concurrent jobs never mix records. Threads
+//! with no installed session record nothing; the parallel explorer
+//! merges its workers' counters and publishes them from the calling
+//! thread instead.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Instant;
 
@@ -26,9 +23,6 @@ use crate::metrics::{MetricsSnapshot, Registry};
 /// Number of installed sessions process-wide. Zero ⇒ every entry point
 /// bails after one relaxed load.
 static ACTIVE_SESSIONS: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-global fallback session (behind the thread-local slot).
-static GLOBAL: OnceLock<Mutex<Option<Session>>> = OnceLock::new();
 
 thread_local! {
     /// Sessions installed on this thread, innermost last.
@@ -47,16 +41,9 @@ pub fn is_active() -> bool {
     ACTIVE_SESSIONS.load(Ordering::Relaxed) != 0
 }
 
-/// The session visible to this thread: the innermost thread-local one,
-/// else the process-global one.
+/// The session visible to this thread: the innermost one installed on it.
 pub fn current() -> Option<Session> {
-    let local = CURRENT.with(|c| c.borrow().last().cloned());
-    if local.is_some() {
-        return local;
-    }
-    GLOBAL
-        .get()
-        .and_then(|g| g.lock().ok().and_then(|s| s.clone()))
+    CURRENT.with(|c| c.borrow().last().cloned())
 }
 
 /// A completed span.
@@ -141,18 +128,7 @@ impl Session {
     pub fn install(&self) -> ScopeGuard {
         CURRENT.with(|c| c.borrow_mut().push(self.clone()));
         ACTIVE_SESSIONS.fetch_add(1, Ordering::Relaxed);
-        ScopeGuard { global: false }
-    }
-
-    /// Installs the session on the current thread *and* as the process
-    /// fallback for threads with no local session, until the guard drops.
-    #[must_use = "the session is uninstalled when the guard drops"]
-    pub fn install_global(&self) -> ScopeGuard {
-        let slot = GLOBAL.get_or_init(|| Mutex::new(None));
-        *slot.lock().unwrap() = Some(self.clone());
-        CURRENT.with(|c| c.borrow_mut().push(self.clone()));
-        ACTIVE_SESSIONS.fetch_add(1, Ordering::Relaxed);
-        ScopeGuard { global: true }
+        ScopeGuard(())
     }
 
     /// The session's metrics registry.
@@ -211,20 +187,13 @@ impl std::fmt::Debug for Session {
 }
 
 /// Uninstalls a session when dropped (returned by [`Session::install`]).
-pub struct ScopeGuard {
-    global: bool,
-}
+pub struct ScopeGuard(());
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
         CURRENT.with(|c| {
             c.borrow_mut().pop();
         });
-        if self.global {
-            if let Some(slot) = GLOBAL.get() {
-                *slot.lock().unwrap() = None;
-            }
-        }
         ACTIVE_SESSIONS.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -401,20 +370,6 @@ mod tests {
         assert_eq!(outer.snapshot().spans[0].name, "in-outer");
         assert_eq!(inner.snapshot().spans.len(), 1);
         assert_eq!(inner.snapshot().spans[0].name, "in-inner");
-    }
-
-    #[test]
-    fn global_install_reaches_other_threads() {
-        let session = Session::new();
-        let _scope = session.install_global();
-        let handle = std::thread::spawn(|| {
-            let _s = span("from-helper");
-        });
-        handle.join().unwrap();
-        let snap = session.snapshot();
-        assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.spans[0].name, "from-helper");
-        assert_ne!(snap.spans[0].tid, 0);
     }
 
     #[test]

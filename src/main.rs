@@ -6,7 +6,7 @@
 //! rehearsal graph <manifest.pp> [...]
 //! rehearsal benchmarks [--json] [--timeout SECONDS]
 //! rehearsal lint <DIR|FILE...> [--allow RULE] [--warn RULE] [--deny RULE|warnings] [...]
-//! rehearsal fleet <DIR|FILE...> [--jobs N] [--threads N] [--json] [--cache FILE] [--baseline FILE] [...]
+//! rehearsal fleet <DIR|FILE...> [--jobs N] [--json] [--cache FILE] [--baseline FILE] [...]
 //! ```
 
 use rehearsal::fleet::{
@@ -56,9 +56,10 @@ OPTIONS:
     --no-commutativity           disable the commutativity check (fig. 11c)
     --no-pruning                 disable path pruning (fig. 11b)
     --no-elimination             disable resource elimination
-    --threads <N>                explorer threads per analysis; 0 = auto
-                                 (one per CPU), 1 = exact sequential
-                                 traversal            [default: auto]
+
+Each analysis explores interleavings on max(1, cores / analyses running
+at once) threads: every core for a single-manifest command, cores / jobs
+under `fleet` and `coverage`, cores / request workers under `serve`.
 
 OBSERVABILITY:
     --timings                    print the per-phase timing tree to stderr
@@ -84,9 +85,7 @@ prints the same findings to stderr as advisories. `rehearsal fleet
 FLEET OPTIONS:
     --jobs <N>                   manifest workers; cores left over become
                                  explorer threads       [default: auto]
-                                 (with --threads, jobs × threads is capped
-                                 at the core count; the report header
-                                 echoes the resolved split)
+                                 (the report header echoes the split)
     --cache <FILE>               JSONL verdict cache, reused across runs
     --baseline <FILE>            differential-verification baseline: persists
                                  graph digests, footprint summaries, and pair
@@ -139,7 +138,6 @@ struct Args {
     state: Option<String>,
     json: bool,
     jobs: usize,
-    threads: usize,
     cache: Option<String>,
     baseline: Option<String>,
     list: Option<String>,
@@ -181,7 +179,6 @@ fn parse_args() -> Result<Args, String> {
     let mut state = None;
     let mut json = false;
     let mut jobs = 0;
-    let mut threads = 0;
     let mut cache = None;
     let mut baseline = None;
     let mut list = None;
@@ -217,10 +214,6 @@ fn parse_args() -> Result<Args, String> {
             "--jobs" => {
                 let v = argv.next().ok_or("--jobs needs a value")?;
                 jobs = v.parse().map_err(|_| "bad --jobs value")?;
-            }
-            "--threads" => {
-                let v = argv.next().ok_or("--threads needs a value")?;
-                threads = v.parse().map_err(|_| "bad --threads value")?;
             }
             "--cache" => {
                 cache = Some(argv.next().ok_or("--cache needs a value")?);
@@ -301,16 +294,10 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other:?}\n\n{USAGE}")),
         }
     }
-    // Single-manifest commands get the resolved thread count directly;
-    // `fleet` keeps the raw request (0 = auto) so the engine can divide
-    // cores between manifest jobs and per-manifest threads itself.
-    options.threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
+    // A single-manifest command is the only analysis running; `fleet`,
+    // `serve` and `coverage` re-derive the count from their own
+    // concurrency.
+    options.threads = rehearsal::fleet::explorer_threads(1);
     Ok(Args {
         command,
         paths,
@@ -319,7 +306,6 @@ fn parse_args() -> Result<Args, String> {
         state,
         json,
         jobs,
-        threads,
         cache,
         baseline,
         list,
@@ -667,7 +653,6 @@ fn run_fleet(args: &Args) -> Result<bool, String> {
 
     let options = FleetOptions {
         jobs: args.jobs,
-        threads: args.threads,
         analysis: args.options.clone(),
         cancel: None,
         lint: args.lint,
@@ -736,7 +721,6 @@ fn run_coverage(args: &Args) -> Result<bool, String> {
         platform: args.platform,
         analysis: args.options.clone(),
         jobs: args.jobs,
-        threads: args.threads,
         threshold: args.threshold,
         pin: args.pin,
     };

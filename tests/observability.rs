@@ -8,6 +8,7 @@ use rehearsal::fleet::{
 };
 use rehearsal::trace::{Session, TraceSnapshot};
 use rehearsal::{Platform, Rehearsal};
+use std::process::Command;
 use std::time::{Duration, Instant};
 
 /// Runs the full verify pipeline on `source` in a fresh thread with its
@@ -238,5 +239,39 @@ fn disabled_tracing_overhead_is_in_the_noise() {
         disabled < enabled * 3 + Duration::from_millis(250),
         "disabled tracing should not be slower than enabled \
          (disabled {disabled:?}, enabled {enabled:?})"
+    );
+}
+
+/// The one-shot idempotence query publishes its SAT search counters:
+/// idempotence is most of `check` on hosting, and its 1k+ conflicts must
+/// show in `--metrics`, not read zero.
+#[test]
+fn check_metrics_count_one_shot_solver_conflicts() {
+    let dir = std::env::temp_dir().join(format!("rehearsal-obs-metrics-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let metrics = dir.join("metrics.prom");
+    let out = Command::new(env!("CARGO_BIN_EXE_rehearsal"))
+        .args(["check", "benchmarks/hosting.pp", "--metrics"])
+        .arg(&metrics)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("run rehearsal");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&metrics).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let conflicts: u64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix("rehearsal_sat_conflicts_total "))
+        .expect("sat_conflicts_total in the metrics file")
+        .trim()
+        .parse()
+        .unwrap();
+    assert!(
+        conflicts > 0,
+        "one-shot solver conflicts unreported:\n{text}"
     );
 }

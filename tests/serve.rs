@@ -61,10 +61,11 @@ fn run_us(doc: &Json) -> f64 {
 }
 
 /// Acceptance pin: N threads hammering `/v1/check` with both bundled
-/// suites (including `--model-metadata` and `--threads 2` variants)
-/// return exactly the verdicts the batch CLI pins (7 det / 6 nondet;
-/// metadata 3/3), and a byte-identical repeat is served warm from the
-/// resident core — `cache_hit` with strictly lower latency.
+/// suites (including the `--model-metadata` variant) return exactly the
+/// verdicts the batch CLI pins (7 det / 6 nondet; metadata 3/3), and a
+/// byte-identical repeat is served warm from the resident core —
+/// `cache_hit` with strictly lower latency. Each request's explorer runs
+/// on one thread.
 #[test]
 fn concurrent_requests_match_batch_verdicts_and_repeat_warm() {
     let (addr, handle) = spawn(ServeOptions::default());
@@ -78,7 +79,6 @@ fn concurrent_requests_match_batch_verdicts_and_repeat_warm() {
                         &Json::obj([
                             ("manifest", Json::str(format!("{}.pp", b.name))),
                             ("source", Json::str(b.source)),
-                            ("threads", Json::num(2u32)),
                         ]),
                     );
                     let expected = if b.deterministic {
@@ -156,6 +156,14 @@ fn concurrent_requests_match_batch_verdicts_and_repeat_warm() {
         .and_then(|v| v.parse::<u64>().ok())
         .expect("cache-hit counter exported");
     assert!(hits >= 1, "cache-hit counter moved");
+    // The default worker count is at least the core count, so every
+    // request's explorer runs on one thread.
+    assert!(
+        metrics
+            .lines()
+            .any(|l| l == "rehearsal_fleet_threads_per_job 1"),
+        "one explorer thread per request:\n{metrics}"
+    );
     shutdown(&addr, handle);
 }
 
